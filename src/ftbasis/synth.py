@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,20 +37,22 @@ LADDER_EPS_FLOOR = 1e-6
 LADDER_SCAN_CAP = 10**8
 APPROX_EPS_FLOOR = 1e-4
 
-_T = Gate("T", (0,))
-_TDAG = Gate("Tdag", (0,))
-_H = Gate("H", (0,))
-_S = Gate("S", (0,))
-_SDAG = Gate("Sdag", (0,))
-
 #: sigma_z^{-1/4} sigma_x^{1/4} in operator order (sigma_x^{1/4} = H T H).
 GEN1_NAMES = ("Tdag", "H", "T", "H")
 
 # sigma_y^{1/4} = S sigma_x^{1/4} S^dag; H^{1/2} = sigma_y^{1/4} S sigma_y^{-1/4}.
-_Y_QUARTER = (_S, _H, _T, _H, _SDAG)
-_Y_QUARTER_INV = (_S, _H, _TDAG, _H, _SDAG)
-H_HALF_NAMES = tuple(g.name for g in _Y_QUARTER + (_S,) + _Y_QUARTER_INV)
-H_NEG_HALF_NAMES = tuple(g.name for g in _Y_QUARTER + (_SDAG,) + _Y_QUARTER_INV)
+_Y_QUARTER = ("S", "H", "T", "H", "Sdag")
+_Y_QUARTER_INV = ("S", "H", "Tdag", "H", "Sdag")
+H_HALF_NAMES = _Y_QUARTER + ("S",) + _Y_QUARTER_INV
+H_NEG_HALF_NAMES = _Y_QUARTER + ("Sdag",) + _Y_QUARTER_INV
+
+# The conjugators as emitted, over {H, T, Tdag}.
+_H_HALF_HT = tuple(words.expand_to_ht(words.word(H_HALF_NAMES)).names())
+_H_NEG_HALF_HT = tuple(words.expand_to_ht(words.word(H_NEG_HALF_NAMES)).names())
+_HT_GATES = {name: Gate(name, (0,)) for name in ("H", "T", "Tdag")}
+
+#: A word as runs of repeated {H, T, Tdag} name tuples, in operator order.
+Segments = tuple[tuple[tuple[str, ...], int], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +68,36 @@ class LambdaFrame:
 
 @dataclass(frozen=True, eq=False)
 class SynthResult:
-    word: GateWord
+    """An emitted {H, T, Tdag} word, held as segments ``(names, repeat)``.
+
+    A ladder result has the segments gen1^j, then H^{-1/2} gen1^k1 H^{1/2}
+    when k1 > 0, then gen1^k2; a passthrough is one segment repeated once.
+    ``achieved_error`` is the projective distance of the segment product
+    (matrix powers of the segment matrices) to the target.  ``names``
+    spells the word out by list repetition; ``word`` builds the validated
+    ``GateWord`` on first access only.
+    """
+
+    segments: Segments
     achieved_error: float
     ladder_powers: tuple[int, int, int]
 
+    def names(self) -> list[str]:
+        out: list[str] = []
+        for names, repeat in self.segments:
+            out += names * repeat
+        return out
+
+    @cached_property
+    def word(self) -> GateWord:
+        gates: list[Gate] = []
+        for names, repeat in self.segments:
+            gates += tuple(_HT_GATES[n] for n in names) * repeat
+        return GateWord(tuple(gates), 1)
+
     def to_json_dict(self) -> dict:
         return {
-            "word": self.word.names(),
+            "word": self.names(),
             "error": self.achieved_error,
             "powers": list(self.ladder_powers),
         }
@@ -96,7 +121,6 @@ def lambda_frame() -> LambdaFrame:
     )
 
 
-@lru_cache(maxsize=8)
 def _cf_denominators(num: int, den: int) -> tuple[int, ...]:
     a, b = num, den
     q_prev, q_cur = 1, 0
@@ -109,20 +133,34 @@ def _cf_denominators(num: int, den: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _guaranteed_scan_bound(step: float, eps: float) -> int:
-    """Three-distance bound: points {n*step mod 2pi, n < N} have gaps < eps."""
+@lru_cache(maxsize=8)
+def _scan_bound_table(step: float) -> tuple[tuple[float, int], ...]:
+    """Pairs (dist(q_{k-1}) + dist(q_k), scan bound) over the convergents q_k."""
     frac = Fraction(step / (2 * math.pi))
-    eps_frac = eps / (2 * math.pi)
 
     def dist(q: int) -> float:
         m = (frac * q) % 1
         return float(min(m, 1 - m))
 
     qs = _cf_denominators(frac.numerator, frac.denominator)
-    for k in range(1, len(qs)):
-        if dist(qs[k - 1]) + dist(qs[k]) < eps_frac:
-            return min(qs[k] + 1, LADDER_SCAN_CAP)
+    return tuple(
+        (dist(qs[k - 1]) + dist(qs[k]), min(qs[k] + 1, LADDER_SCAN_CAP))
+        for k in range(1, len(qs))
+    )
+
+
+def _guaranteed_scan_bound(step: float, eps: float) -> int:
+    """Three-distance bound: points {n*step mod 2pi, n < N} have gaps < eps."""
+    eps_frac = eps / (2 * math.pi)
+    for gap, bound in _scan_bound_table(step):
+        if gap < eps_frac:
+            return bound
     return LADDER_SCAN_CAP
+
+
+def _require_finite_eps(eps: float) -> None:
+    if not math.isfinite(eps):
+        raise ValidationError(f"eps must be finite, got {eps}")
 
 
 def _scan_ladder(step: float, theta: float, eps: float, n_max: int) -> int | None:
@@ -147,6 +185,7 @@ def minimal_ladder_power(step: float, theta: float, eps: float) -> int:
     search total; below the floor the bounded scan may come up empty, in
     which case the floor is reported.
     """
+    _require_finite_eps(eps)
     if eps <= 0:
         raise ValidationError("eps must be positive")
     bound = _guaranteed_scan_bound(step, max(eps, LADDER_EPS_FLOOR))
@@ -203,18 +242,20 @@ def _passthrough_table() -> dict[tuple, tuple[str, ...]]:
     return table
 
 
-def _passthrough(target: np.ndarray) -> GateWord | None:
-    names = _passthrough_table().get(_phase_fingerprint(target))
-    if names is None:
-        return None
-    w = words.word(list(names))
-    if su2.proj_distance(words.unitary(w), target) < 1e-12:
-        return w
-    return None
+@lru_cache(maxsize=None)
+def _names_unitary(names: tuple[str, ...]) -> np.ndarray:
+    """Product of the named 1-qubit gate matrices in list order."""
+    out = np.eye(2, dtype=complex)
+    for name in names:
+        out = out @ words.GATE_MATRICES[name]
+    return out
 
 
-def _repeat(names: tuple[Gate, ...], count: int) -> tuple[Gate, ...]:
-    return names * count
+def _segments_unitary(segments: Segments) -> np.ndarray:
+    out = np.eye(2, dtype=complex)
+    for names, repeat in segments:
+        out = out @ np.linalg.matrix_power(_names_unitary(names), repeat)
+    return out
 
 
 def approx_su2(target: np.ndarray, eps: float) -> SynthResult:
@@ -225,6 +266,7 @@ def approx_su2(target: np.ndarray, eps: float) -> SynthResult:
     axes are each realized by a ladder power at budget eps/4; the middle
     factor is conjugated into the second axis by the exact H^{1/2} word.
     """
+    _require_finite_eps(eps)
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2) or not su2.is_unitary(target):
         raise ValidationError("target must be a 2x2 unitary")
@@ -234,13 +276,11 @@ def approx_su2(target: np.ndarray, eps: float) -> SynthResult:
         )
     frame = lambda_frame()
 
-    shortcut = _passthrough(target)
+    shortcut = _passthrough_table().get(_phase_fingerprint(target))
     if shortcut is not None:
-        return SynthResult(
-            shortcut,
-            su2.proj_distance(words.unitary(shortcut), target),
-            (0, 0, 0),
-        )
+        error = su2.proj_distance(_names_unitary(shortcut), target)
+        if error < 1e-12:
+            return SynthResult(((shortcut, 1),), error, (0, 0, 0))
 
     aa = su2.axis_angle_of(target)
     stripped = su2.AxisAngle(0.0, aa.angle, aa.axis)
@@ -252,14 +292,10 @@ def approx_su2(target: np.ndarray, eps: float) -> SynthResult:
     k1 = minimal_ladder_power(step, triple.beta % (2 * math.pi), budget)
     k2 = minimal_ladder_power(step, triple.gamma % (2 * math.pi), budget)
 
-    gen1 = tuple(Gate(n, (0,)) for n in GEN1_NAMES)
-    h_half = tuple(Gate(n, (0,)) for n in H_HALF_NAMES)
-    h_neg_half = tuple(Gate(n, (0,)) for n in H_NEG_HALF_NAMES)
-    middle = h_neg_half + _repeat(gen1, k1) + h_half if k1 else ()
-    raw = GateWord(_repeat(gen1, j) + middle + _repeat(gen1, k2), 1)
-    emitted = words.expand_to_ht(raw)
-    error = su2.proj_distance(words.unitary(emitted), target)
-    return SynthResult(emitted, error, (j, k1, k2))
+    middle = ((_H_NEG_HALF_HT, 1), (GEN1_NAMES, k1), (_H_HALF_HT, 1)) if k1 else ()
+    segments = ((GEN1_NAMES, j),) + middle + ((GEN1_NAMES, k2),)
+    error = su2.proj_distance(_segments_unitary(segments), target)
+    return SynthResult(segments, error, (j, k1, k2))
 
 
 # ---------------------------------------------------------------------------

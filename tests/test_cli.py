@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ftbasis import cli, gadgets
+from ftbasis import cli, gadgets, synth
 from ftbasis.cli import config_from_args, main, run
 
 
@@ -51,6 +51,20 @@ class TestSynthCommand:
         path.write_text(json.dumps([[[1.0, 0.0]]]))
         code, text = run_argv(["synth", "--target", str(path), "--eps", "0.05"])
         assert code == 2
+
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_non_finite_eps_rejected_before_any_scan(self, eps, monkeypatch, capsys):
+        def no_scan(*args):
+            raise AssertionError("ladder scan ran")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        monkeypatch.setattr(synth, "_scan_ladder", no_scan)
+        assert main(["synth", "--target", "z8", f"--eps={eps}"]) == 2
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert "eps" in doc["error"]
 
 
 class TestSimulateCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary
-from ftbasis import su2, words
+from ftbasis import cli, su2, synth, words
 from ftbasis.errors import UnsupportedPrecisionError, ValidationError
 from ftbasis.synth import (
     ALPHA_CONST,
@@ -229,6 +230,82 @@ class TestApproxSu2:
             zip(eps_grid, medians), zip(eps_grid[1:], medians[1:])
         ):
             assert m2 <= max(m1, 8.0) * (e1 / e2) ** 3 * 2.0
+
+
+class TestNonFiniteEps:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_rejected_before_any_scan(self, eps, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("ladder scan ran")
+
+        monkeypatch.setattr(synth, "_scan_ladder", no_scan)
+        with pytest.raises(ValidationError, match="eps"):
+            approx_su2(su2.pauli_power("z", 0.3), eps)
+        with pytest.raises(ValidationError, match="eps"):
+            minimal_ladder_power(lambda_frame().lam * math.pi, 1.0, eps)
+
+
+def sequential_construction(target, powers):
+    """The word as built before segments: one Gate per letter, then a
+    sequential product of every factor.  Returns (names, distance)."""
+    table_names = synth._passthrough_table().get(synth._phase_fingerprint(target))
+    if table_names is not None:
+        w = words.word(list(table_names))
+        dist = su2.proj_distance(words.unitary(w), target)
+        if dist < 1e-12:
+            return w.names(), dist
+    j, k1, k2 = powers
+    gen1 = tuple(words.Gate(n, (0,)) for n in synth.GEN1_NAMES)
+    h_half = tuple(words.Gate(n, (0,)) for n in synth.H_HALF_NAMES)
+    h_neg_half = tuple(words.Gate(n, (0,)) for n in synth.H_NEG_HALF_NAMES)
+    middle = h_neg_half + gen1 * k1 + h_half if k1 else ()
+    raw = words.GateWord(gen1 * j + middle + gen1 * k2, 1)
+    emitted = words.expand_to_ht(raw)
+    return emitted.names(), su2.proj_distance(words.unitary(emitted), target)
+
+
+class TestSegmentCertificate:
+    def test_matches_sequential_construction(self):
+        rng = np.random.default_rng(92)
+        cases = [(haar_unitary(rng), eps) for _ in range(20) for eps in (0.1, 0.05, 0.01)]
+        cases += [
+            (cli.TARGET_TAGS[tag](), eps)
+            for tag in ("h", "t", "s", "z8")
+            for eps in (0.1, 0.05, 0.01)
+        ]
+        for target, eps in cases:
+            res = approx_su2(target, eps)
+            names, dist = sequential_construction(target, res.ladder_powers)
+            assert res.names() == names
+            assert res.word.names() == names
+            assert abs(res.achieved_error - dist) <= 1e-12
+
+    def test_word_built_only_on_request(self, tmp_path, monkeypatch):
+        target = haar_unitary(np.random.default_rng(7))
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in target]))
+        cfg = cli.config_from_args(["synth", "--target", str(path), "--eps", "1e-2"])
+        assert cli.run(cfg)[0] == 0  # warm up the lazy caches
+
+        calls = []
+        original = words.Gate.__post_init__
+
+        def counting(self):
+            calls.append(self.name)
+            original(self)
+
+        monkeypatch.setattr(words.Gate, "__post_init__", counting)
+        code, text = cli.run(cfg)
+        assert code == 0
+        assert calls == []
+        monkeypatch.undo()
+
+        emitted = json.loads(text)["result"]
+        res = approx_su2(cli._resolve_target(str(path)), 1e-2)
+        assert res.ladder_powers != (0, 0, 0)
+        assert isinstance(res.word, words.GateWord)
+        assert res.word.names() == emitted["word"]
+        assert res.word is res.word
 
 
 class TestRhoGenerators:
