@@ -125,32 +125,61 @@ def _run_constants(cfg: RunConfig) -> tuple[int, dict]:
     }
 
 
+def _int_field(value, name: str) -> int:
+    """A JSON integer; bools, floats and strings are usage errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _measurement(entry) -> tuple[str, int | tuple[int, ...]]:
+    """(basis, qubit or block) of one measurement entry of a circuit file."""
+    if not isinstance(entry, dict):
+        raise UsageError("each measurement must be a JSON object")
+    basis = entry.get("basis", "z")
+    if basis not in ("z", "cat"):
+        raise UsageError(f"unknown measurement basis {basis!r}")
+    field = "qubit" if basis == "z" else "block"
+    if field not in entry:
+        raise UsageError(f"a {basis} measurement needs the field {field!r}")
+    if basis == "z":
+        return basis, _int_field(entry["qubit"], "qubit")
+    if not isinstance(entry["block"], list):
+        raise UsageError("field 'block' must be a list of qubits")
+    return basis, tuple(_int_field(q, "block") for q in entry["block"])
+
+
 def _run_simulate(cfg: RunConfig) -> tuple[int, dict]:
     data = _load_json(cfg.parameters["circuit"])
+    if not isinstance(data, dict):
+        raise UsageError("circuit file must hold a JSON object")
     for fieldname in ("width", "gates"):
         if fieldname not in data:
             raise UsageError(f"circuit file is missing the field {fieldname!r}")
+    width = _int_field(data["width"], "width")
     try:
         gates = tuple(
-            words.Gate(entry["name"], tuple(entry["targets"])) for entry in data["gates"]
+            words.Gate(entry["name"], tuple(_int_field(t, "targets") for t in entry["targets"]))
+            for entry in data["gates"]
         )
-        w = words.GateWord(gates, int(data["width"]))
+        w = words.GateWord(gates, width)
     except (KeyError, TypeError):
         raise UsageError("each gate needs fields 'name' and 'targets'") from None
     except ValidationError as exc:
         raise UsageError(f"bad circuit: {exc}") from None
-    state = sim.zero_state(w.width)
+    measurements = data.get("measurements", [])
+    if not isinstance(measurements, list):
+        raise UsageError("field 'measurements' must be a list")
+    measurements = [_measurement(m) for m in measurements]
+    state = sim.prepare("zero", w.width)
     state = sim.run_word(state, w)
     rng = np.random.default_rng(cfg.seed)
     recs = []
-    for m in data.get("measurements", ()):
-        basis = m.get("basis", "z")
+    for basis, where in measurements:
         if basis == "z":
-            rec = sim.measure_z(state, int(m["qubit"]), rng)
-        elif basis == "cat":
-            rec = sim.measure_cat_basis(state, tuple(m["block"]), rng)
+            rec = sim.measure_z(state, where, rng)
         else:
-            raise UsageError(f"unknown measurement basis {basis!r}")
+            rec = sim.measure_cat_basis(state, where, rng)
         state = rec.post_state
         recs.append(_record_to_json(rec))
     return 0, {"state": _state_to_json(state), "records": recs}
@@ -203,8 +232,7 @@ def _suite_ring(seed: int, n_words: int = 200) -> dict:
         mat = ring.ExactMatrix.identity(8)
         for _ in range(length):
             name = ring.SHOR_BASIS[rng.integers(0, len(ring.SHOR_BASIS))]
-            arity = {"CNOT": 2, "TOFFOLI": 3}.get(name, 1)
-            targets = tuple(rng.permutation(3)[:arity])
+            targets = tuple(rng.permutation(3)[: ring.GATE_ARITY[name]])
             mat = ring.exact_mul(mat, ring.exact_gate(name, targets, 3))
         if ring.gaussian_obstruction(mat):
             closed += 1

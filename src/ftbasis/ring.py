@@ -88,8 +88,7 @@ class RingElement:
         )
 
     def to_complex(self) -> complex:
-        z = np.exp(1j * np.pi / 4)
-        return complex(self.a + self.b * z + self.c * z**2 + self.d * z**3)
+        return complex(self.a + self.b * _BASIS[1] + self.c * _BASIS[2] + self.d * _BASIS[3])
 
 
 ZERO = RingElement(0, 0, 0, 0)
@@ -99,17 +98,81 @@ IMAG = RingElement(0, 0, 1, 0)
 SQRT2 = RingElement(0, 1, 0, -1)
 
 SHOR_BASIS = ("H", "S", "X", "Y", "Z", "CNOT", "TOFFOLI")
-EXACT_GATE_NAMES = ("H", "S", "T", "X", "Y", "Z", "CNOT", "TOFFOLI")
 
-# Base gates as (denominator exponent, coefficient tensor entries).
-_GATE_TABLE: dict[str, tuple[int, list[list[RingElement]]]] = {
-    "H": (1, [[ONE, ONE], [ONE, -ONE]]),
-    "S": (0, [[ONE, ZERO], [ZERO, IMAG]]),
-    "T": (0, [[ONE, ZERO], [ZERO, ZETA8]]),
-    "X": (0, [[ZERO, ONE], [ONE, ZERO]]),
-    "Y": (0, [[ZERO, -IMAG], [IMAG, ZERO]]),
-    "Z": (0, [[ONE, ZERO], [ZERO, -ONE]]),
+
+def _coeffs(powers: list[list[int | None]]) -> np.ndarray:
+    """Coefficient array of a matrix of z-exponents (None for a zero entry)."""
+    n = len(powers)
+    out = np.zeros((n, n, 4), dtype=np.int64)
+    for i, row in enumerate(powers):
+        for j, p in enumerate(row):
+            if p is not None:
+                out[i, j, p % 4] = -1 if p % 8 >= 4 else 1
+    out.flags.writeable = False
+    return out
+
+
+def _permutation(perm: tuple[int, ...]) -> list[list[int | None]]:
+    return [[0 if j == perm[i] else None for j in range(len(perm))] for i in range(len(perm))]
+
+
+_ = None
+
+#: The generators: name -> (coefficients, sqrt(2) exponent, inverse name).
+#: Every entry is 0 or z^p, so each row is written as z-exponents; every
+#: other gate matrix in the package is derived from this table.
+GATE_TABLE: dict[str, tuple[np.ndarray, int, str]] = {
+    name: (_coeffs(powers), denom_exp, inverse)
+    for name, powers, denom_exp, inverse in (
+        ("H", [[0, 0], [0, 4]], 1, "H"),
+        ("T", [[0, _], [_, 1]], 0, "Tdag"),
+        ("Tdag", [[0, _], [_, 7]], 0, "T"),
+        ("S", [[0, _], [_, 2]], 0, "Sdag"),
+        ("Sdag", [[0, _], [_, 6]], 0, "S"),
+        ("X", [[_, 0], [0, _]], 0, "X"),
+        ("Y", [[_, 6], [2, _]], 0, "Y"),
+        ("Z", [[0, _], [_, 4]], 0, "Z"),
+        ("CNOT", _permutation((0, 1, 3, 2)), 0, "CNOT"),
+        ("TOFFOLI", _permutation((0, 1, 2, 3, 4, 5, 7, 6)), 0, "TOFFOLI"),
+    )
 }
+EXACT_GATE_NAMES = tuple(GATE_TABLE)
+GATE_ARITY = {name: len(c).bit_length() - 1 for name, (c, _, _) in GATE_TABLE.items()}
+
+# Numeric values of the power basis 1, z, z^2, z^3.  z^2 and z^3 are
+# written as i and -conj(z) so that each is exact given z.
+_OMEGA = np.exp(1j * np.pi / 4)
+_BASIS = np.array([1, _OMEGA, 1j, -_OMEGA.conjugate()])
+
+
+def embed(matrix: np.ndarray, targets: tuple[int, ...], width: int) -> np.ndarray:
+    """Tensor-embed a k-qubit gate onto the given qubits of a width-n register.
+
+    ``matrix`` has shape (2^k, 2^k, ...); trailing axes (such as the four
+    ring coefficients) ride along and the dtype is kept.  The identity
+    acts on every other qubit.
+    """
+    k = len(targets)
+    if matrix.shape[:2] != (1 << k, 1 << k):
+        raise ValidationError("gate dimension does not match target count")
+    if len(set(targets)) != k or any(t < 0 or t >= width for t in targets):
+        raise ValidationError(f"bad targets {targets} for width {width}")
+    trail = matrix.shape[2:]
+    rest = [q for q in range(width) if q not in targets]
+    m = len(rest)
+    # Axes: target rows, target cols, trailing, rest rows, rest cols.
+    full = np.multiply.outer(
+        matrix.reshape((2,) * (2 * k) + trail),
+        np.eye(1 << m, dtype=matrix.dtype).reshape((2,) * (2 * m)),
+    )
+    # Move each qubit's row axis to position q and its column axis to
+    # width + q; the trailing axes fall in behind.
+    qubits = list(targets) + rest
+    rest_axis = 2 * k + len(trail)
+    rows = [*range(k), *range(rest_axis, rest_axis + m)]
+    cols = [*range(k, 2 * k), *range(rest_axis + m, rest_axis + 2 * m)]
+    full = np.moveaxis(full, rows + cols, qubits + [width + q for q in qubits])
+    return full.reshape((1 << width, 1 << width) + trail)
 
 
 def _coeff_storage(data) -> np.ndarray:
@@ -172,9 +235,8 @@ class ExactMatrix:
         return max(abs(int(x)) for x in self.coeffs.reshape(-1))
 
     def to_complex(self) -> np.ndarray:
-        z = np.exp(1j * np.pi * np.arange(4) / 4)
-        num = self.coeffs.astype(complex) @ z
-        return np.asarray(num) / np.sqrt(2.0) ** self.denom_exp
+        num = self.coeffs.astype(complex) @ _BASIS
+        return num / np.sqrt(2.0) ** self.denom_exp
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -227,59 +289,20 @@ class ExactMatrix:
 
 @lru_cache(maxsize=None)
 def _cached_gate(name: str, targets: tuple[int, ...], width: int) -> ExactMatrix:
-    if name == "CNOT":
-        base = np.zeros((4, 4, 4), dtype=np.int64)
-        for i, j in ((0, 0), (1, 1), (2, 3), (3, 2)):
-            base[i, j, 0] = 1
-        ell = 0
-    elif name == "TOFFOLI":
-        base = np.zeros((8, 8, 4), dtype=np.int64)
-        for i in range(8):
-            base[i, i ^ 1 if i >= 6 else i, 0] = 1
-        ell = 0
-    else:
-        ell, rows = _GATE_TABLE[name]
-        base = np.array(
-            [[[e.a, e.b, e.c, e.d] for e in row] for row in rows], dtype=np.int64
-        )
-
-    k = len(targets)
-    dim = 1 << width
-    full = np.zeros((dim, dim, 4), dtype=np.int64)
-    shifts = [width - 1 - t for t in targets]
-    rest_shifts = [width - 1 - q for q in range(width) if q not in targets]
-
-    def compose(bits_gate: int, bits_rest: int) -> int:
-        idx = 0
-        for pos, sh in enumerate(shifts):
-            idx |= ((bits_gate >> (k - 1 - pos)) & 1) << sh
-        for pos, sh in enumerate(rest_shifts):
-            idx |= ((bits_rest >> (len(rest_shifts) - 1 - pos)) & 1) << sh
-        return idx
-
-    for sub in range(1 << len(rest_shifts)):
-        for gr in range(1 << k):
-            row = compose(gr, sub)
-            for gc in range(1 << k):
-                full[row, compose(gc, sub)] = base[gr, gc]
-    return ExactMatrix(full, ell, reduce=False)
+    coeffs, denom_exp, _ = GATE_TABLE[name]
+    return ExactMatrix(embed(coeffs, targets, width), denom_exp, reduce=False)
 
 
 def exact_gate(name: str, targets: tuple[int, ...] | list[int], width: int) -> ExactMatrix:
     """Canonical exact embedding of a named generator (identity elsewhere)."""
-    if name not in EXACT_GATE_NAMES:
+    if name not in GATE_TABLE:
         raise ValidationError(f"unknown exact gate {name!r}")
     if not 1 <= width <= 3:
         raise ValidationError("width must be between 1 and 3")
     targets = tuple(int(t) for t in targets)
-    arity = {"CNOT": 2, "TOFFOLI": 3}.get(name, 1)
-    if len(targets) != arity:
-        raise ValidationError(f"{name} takes {arity} targets")
-    if len(set(targets)) != len(targets) or any(
-        t < 0 or t >= width for t in targets
-    ):
-        raise ValidationError(f"bad targets {targets} for width {width}")
-    return _cached_gate(name, targets, width)
+    if len(targets) != GATE_ARITY[name]:
+        raise ValidationError(f"{name} takes {GATE_ARITY[name]} targets")
+    return _cached_gate(name, targets, width)  # embed rejects bad targets
 
 
 def _mix_components(P: np.ndarray) -> np.ndarray:
@@ -292,47 +315,28 @@ def _mix_components(P: np.ndarray) -> np.ndarray:
 
 
 def exact_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    """Exact product, canonically reduced."""
+    """Exact product, canonically reduced.
+
+    Computed in int64 when the coefficient bound keeps every intermediate
+    below 2^63, else over object arrays of Python ints.
+    """
     if A.dim != B.dim:
         raise ValidationError("dimension mismatch")
+    dtype = object
     if A.coeffs.dtype == np.int64 and B.coeffs.dtype == np.int64:
-        bound = A.max_abs_coeff() * B.max_abs_coeff() * A.dim * 4
-        if bound < _INT64_SAFE:
-            a4 = np.ascontiguousarray(A.coeffs.transpose(2, 0, 1))
-            b4 = np.ascontiguousarray(B.coeffs.transpose(2, 0, 1))
-            prod = _mix_components(a4[:, None] @ b4[None, :])
-            return ExactMatrix(prod, A.denom_exp + B.denom_exp)
-    return ExactMatrix(_mul_object(A, B), A.denom_exp + B.denom_exp)
-
-
-def _mul_object(A: ExactMatrix, B: ExactMatrix) -> list:
-    n = A.dim
-    rows_a = [[A.entry(i, k) for k in range(n)] for i in range(n)]
-    cols_b = [[B.entry(k, j) for k in range(n)] for j in range(n)]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ZERO
-            for aik, bkj in zip(rows_a[i], cols_b[j]):
-                acc = acc + aik * bkj
-            row.append([acc.a, acc.b, acc.c, acc.d])
-        out.append(row)
-    return out
+        if A.max_abs_coeff() * B.max_abs_coeff() * A.dim * 4 < _INT64_SAFE:
+            dtype = np.int64
+    a4 = np.ascontiguousarray(A.coeffs.transpose(2, 0, 1), dtype=dtype)
+    b4 = np.ascontiguousarray(B.coeffs.transpose(2, 0, 1), dtype=dtype)
+    prod = _mix_components(a4[:, None] @ b4[None, :])
+    return ExactMatrix(prod, A.denom_exp + B.denom_exp)
 
 
 def exact_word(gates: list[tuple[str, tuple[int, ...]]], width: int) -> ExactMatrix:
-    """Exact product of named gates given in operator order.
-
-    Accepts the inverse tags Sdag and Tdag, rewriting them as S^3 and T^7.
-    """
+    """Exact product of named gates given in operator order."""
     out = ExactMatrix.identity(1 << width)
-    rewrites = {"Sdag": [("S", 3)], "Tdag": [("T", 7)]}
     for name, targets in gates:
-        for base, count in rewrites.get(name, [(name, 1)]):
-            gm = exact_gate(base, targets, width)
-            for _ in range(count):
-                out = exact_mul(out, gm)
+        out = exact_mul(out, exact_gate(name, targets, width))
     return out
 
 

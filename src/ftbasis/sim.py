@@ -33,7 +33,7 @@ class StateVector:
         if amps.shape[0] != 1 << self.n_qubits:
             raise ValidationError("amplitude count must be 2^n")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN
             raise ValidationError(f"state norm {norm} is not 1")
         amps = amps / norm
         amps.flags.writeable = False

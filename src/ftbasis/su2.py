@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .words import GATE_MATRICES
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.diag([1, -1]).astype(complex)
-HADAMARD = (SIGMA_X + SIGMA_Z) / np.sqrt(2)
+SIGMA_X = GATE_MATRICES["X"]
+SIGMA_Y = GATE_MATRICES["Y"]
+SIGMA_Z = GATE_MATRICES["Z"]
+HADAMARD = GATE_MATRICES["H"]
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 _Z_HAT = np.array([0.0, 0.0, 1.0])
 

@@ -158,9 +158,11 @@ def _guaranteed_scan_bound(step: float, eps: float) -> int:
     return LADDER_SCAN_CAP
 
 
-def _require_finite_eps(eps: float) -> None:
+def _require_valid_eps(eps: float) -> None:
     if not math.isfinite(eps):
         raise ValidationError(f"eps must be finite, got {eps}")
+    if eps <= 0:
+        raise ValidationError("eps must be positive")
 
 
 def _scan_ladder(step: float, theta: float, eps: float, n_max: int) -> int | None:
@@ -185,9 +187,7 @@ def minimal_ladder_power(step: float, theta: float, eps: float) -> int:
     search total; below the floor the bounded scan may come up empty, in
     which case the floor is reported.
     """
-    _require_finite_eps(eps)
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    _require_valid_eps(eps)
     bound = _guaranteed_scan_bound(step, max(eps, LADDER_EPS_FLOOR))
     hit = _scan_ladder(step, theta, eps, bound)
     if hit is None:
@@ -266,7 +266,7 @@ def approx_su2(target: np.ndarray, eps: float) -> SynthResult:
     axes are each realized by a ladder power at budget eps/4; the middle
     factor is conjugated into the second axis by the exact H^{1/2} word.
     """
-    _require_finite_eps(eps)
+    _require_valid_eps(eps)
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2) or not su2.is_unitary(target):
         raise ValidationError("target must be a 2x2 unitary")

@@ -15,46 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .ring import GATE_ARITY, GATE_TABLE, ExactMatrix, embed
 
-_Z8 = np.exp(1j * np.pi / 4)
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.diag([1, -1]).astype(complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_TOFFOLI = np.eye(8, dtype=complex)
-_TOFFOLI[[6, 7], :] = _TOFFOLI[[7, 6], :]
+def _numeric(coeffs: np.ndarray, denom_exp: int) -> np.ndarray:
+    mat = ExactMatrix(coeffs, denom_exp).to_complex()
+    mat.flags.writeable = False
+    return mat
 
-#: Numeric matrices of the named generators.
+
+#: Numeric matrices of the named generators, evaluated from the exact table.
 GATE_MATRICES: dict[str, np.ndarray] = {
-    "H": _H,
-    "T": np.diag([1, _Z8]),
-    "Tdag": np.diag([1, _Z8.conjugate()]),
-    "S": np.diag([1, 1j]).astype(complex),
-    "Sdag": np.diag([1, -1j]).astype(complex),
-    "X": _X,
-    "Y": _Y,
-    "Z": _Z,
-    "CNOT": _CNOT,
-    "TOFFOLI": _TOFFOLI,
-}
-
-GATE_ARITY = {name: int(np.log2(m.shape[0])) for name, m in GATE_MATRICES.items()}
-
-_INVERSE_NAME = {
-    "H": "H",
-    "T": "Tdag",
-    "Tdag": "T",
-    "S": "Sdag",
-    "Sdag": "S",
-    "X": "X",
-    "Y": "Y",
-    "Z": "Z",
-    "CNOT": "CNOT",
-    "TOFFOLI": "TOFFOLI",
+    name: _numeric(coeffs, denom_exp) for name, (coeffs, denom_exp, _) in GATE_TABLE.items()
 }
 
 # 1-qubit rewrites onto {H, T, Tdag}.  Exact except Y, which drops the
@@ -129,32 +101,6 @@ def word(names: list[str] | tuple[str, ...], width: int = 1) -> GateWord:
     return GateWord(tuple(Gate(n, (0,)) for n in names), width)
 
 
-def embed(matrix: np.ndarray, targets: tuple[int, ...], width: int) -> np.ndarray:
-    """Tensor-embed a k-qubit gate onto the given qubits of a width-n register."""
-    k = len(targets)
-    dim = 1 << width
-    if matrix.shape != (1 << k, 1 << k):
-        raise ValidationError("gate dimension does not match target count")
-    full = np.zeros((dim, dim), dtype=complex)
-    shifts = [width - 1 - t for t in targets]
-    rest = [q for q in range(width) if q not in targets]
-    rest_shifts = [width - 1 - q for q in rest]
-    for sub in range(1 << len(rest)):
-        base = 0
-        for j, sh in enumerate(rest_shifts):
-            base |= ((sub >> (len(rest) - 1 - j)) & 1) << sh
-        for gr in range(1 << k):
-            row = base
-            for j, sh in enumerate(shifts):
-                row |= ((gr >> (k - 1 - j)) & 1) << sh
-            for gc in range(1 << k):
-                col = base
-                for j, sh in enumerate(shifts):
-                    col |= ((gc >> (k - 1 - j)) & 1) << sh
-                full[row, col] = matrix[gr, gc]
-    return full
-
-
 def unitary(w: GateWord) -> np.ndarray:
     """Numeric realization: the matrix product of the word's factors in list order."""
     dim = 1 << w.width
@@ -172,7 +118,7 @@ def unitary(w: GateWord) -> np.ndarray:
 def inverse(w: GateWord) -> GateWord:
     """The word realizing the inverse operator."""
     inv = tuple(
-        Gate(_INVERSE_NAME[gate.name], gate.targets) for gate in reversed(w.gates)
+        Gate(GATE_TABLE[gate.name][2], gate.targets) for gate in reversed(w.gates)
     )
     return GateWord(inv, w.width)
 

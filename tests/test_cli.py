@@ -67,6 +67,20 @@ class TestSynthCommand:
         assert "eps" in doc["error"]
 
 
+    @pytest.mark.parametrize("eps", ["0", "-0.1"])
+    def test_non_positive_eps_is_usage_error(self, eps):
+        code, text = run_argv(["synth", "--target", "z8", f"--eps={eps}"])
+        assert code == 2
+        assert json.loads(text)["error"] == "eps must be positive"
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestSimulateCommand:
     def test_bell_circuit(self, tmp_path):
         circuit = {
@@ -102,6 +116,36 @@ class TestSimulateCommand:
         assert "targets" in json.loads(text)["error"]
 
 
+    @pytest.mark.parametrize(
+        "circuit, field",
+        [
+            ({"width": 1, "gates": [], "measurements": [{"basis": "z"}]}, "qubit"),
+            ({"width": 2, "gates": [], "measurements": [{"basis": "cat"}]}, "block"),
+            ({"width": "x", "gates": []}, "width"),
+            ({"width": 1, "gates": [], "measurements": [{"basis": "z", "qubit": "0"}]}, "qubit"),
+            ({"width": 2, "gates": [], "measurements": [{"qubit": 0.5}]}, "qubit"),
+            ({"width": 2, "gates": [], "measurements": [{"basis": "cat", "block": [0, 1.5]}]},
+             "block"),
+            ({"width": 2, "gates": [{"name": "H", "targets": [0.5]}]}, "targets"),
+            ({"width": 1, "gates": [], "measurements": ["z"]}, "measurement"),
+            ({"width": 1, "gates": [], "measurements": [{"basis": ["z"], "qubit": 0}]}, "basis"),
+            ({"width": 1, "gates": [], "measurements": {"basis": "z"}}, "measurements"),
+        ],
+    )
+    def test_malformed_field_is_usage_error(self, circuit, field, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(circuit))
+        assert main(["simulate", "--circuit", str(path)]) == 2
+        assert field in strict_json(capsys.readouterr().out)["error"]
+
+    def test_oversized_width_rejected_before_allocation(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"width": 40, "gates": []}))
+        code, text = run_argv(["simulate", "--circuit", str(path)])
+        assert code == 2
+        assert "qubit count" in json.loads(text)["error"]
+
+
 class TestGadgetCommand:
     def test_t_gadget_forced_branch(self):
         code, text = run_argv(["gadget", "t", "--force-branch", "1", "--seed", "4"])
@@ -117,6 +161,12 @@ class TestGadgetCommand:
         assert code == 0
         out = json.loads(text)["output"]
         assert abs(complex(*out[0])) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_amplitudes_rejected(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text('{"amplitudes": [[NaN, 0], [0, 0]]}')
+        assert main(["gadget", "t", "--input", str(path), "--force-branch", "0"]) == 2
+        assert "norm" in strict_json(capsys.readouterr().out)["error"]
 
     def test_eigenprep_uphi(self):
         code, text = run_argv(["gadget", "eigenprep", "--u", "uphi", "--seed", "2"])

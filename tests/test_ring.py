@@ -1,9 +1,12 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ftbasis import words
+from ftbasis import ring, su2, words
 from ftbasis.errors import ValidationError
 from ftbasis.ring import (
     IMAG,
@@ -22,6 +25,42 @@ from ftbasis.ring import (
 
 coeff = st.integers(min_value=-(10**6), max_value=10**6)
 elements = st.builds(RingElement, coeff, coeff, coeff, coeff)
+
+_W = np.exp(1j * np.pi / 4)
+_TOFFOLI = np.eye(8)
+_TOFFOLI[[6, 7]] = _TOFFOLI[[7, 6]]
+# The generators written out by hand, independent of the exact table.
+LITERAL_GATES = {
+    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    "T": np.diag([1, _W]),
+    "Tdag": np.diag([1, np.conj(_W)]),
+    "S": np.diag([1, 1j]),
+    "Sdag": np.diag([1, -1j]),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "TOFFOLI": _TOFFOLI,
+}
+
+
+def embed_reference(gate, targets, width):
+    """Entry (row, col) is the gate entry picked out by the target bits of
+    row and col, when row and col agree on every other qubit, else 0."""
+
+    def bit(index, qubit):
+        return (index >> (width - 1 - qubit)) & 1
+
+    def gate_index(index):
+        return sum(bit(index, t) << (len(targets) - 1 - p) for p, t in enumerate(targets))
+
+    dim = 1 << width
+    out = np.zeros((dim, dim) + gate.shape[2:], dtype=gate.dtype)
+    for row in range(dim):
+        for col in range(dim):
+            if all(bit(row, q) == bit(col, q) for q in range(width) if q not in targets):
+                out[row, col] = gate[gate_index(row), gate_index(col)]
+    return out
 
 
 def random_shor_word(rng, length, width=3):
@@ -132,6 +171,30 @@ class TestExactGate:
             want = words.embed(words.GATE_MATRICES[name], targets, width)
             assert np.max(np.abs(got - want)) < 1e-14
 
+    def test_derived_float_matrices_match_literals(self):
+        assert set(words.GATE_MATRICES) == set(LITERAL_GATES)
+        for name, want in LITERAL_GATES.items():
+            got = words.GATE_MATRICES[name]
+            assert got.dtype == complex and np.array_equal(got, want), name
+            assert not got.flags.writeable, name
+
+    def test_su2_constants_are_the_shared_read_only_arrays(self):
+        for const, name in ((su2.SIGMA_X, "X"), (su2.SIGMA_Y, "Y"), (su2.SIGMA_Z, "Z"),
+                            (su2.HADAMARD, "H")):
+            assert const is words.GATE_MATRICES[name]
+            with pytest.raises(ValueError):
+                const[0, 0] = 7
+
+    def test_daggers_are_powers(self):
+        t, s = exact_gate("T", (0,), 1), exact_gate("S", (0,), 1)
+        assert exact_gate("Tdag", (0,), 1) == reduce(exact_mul, [t] * 7)
+        assert exact_gate("Sdag", (0,), 1) == reduce(exact_mul, [s] * 3)
+        for name, (_, _, inverse) in ring.GATE_TABLE.items():
+            width = ring.GATE_ARITY[name]
+            targets = tuple(range(width))
+            product = exact_mul(exact_gate(name, targets, width), exact_gate(inverse, targets, width))
+            assert product == ExactMatrix.identity(1 << width), name
+
     def test_bad_targets_rejected(self):
         with pytest.raises(ValidationError):
             exact_gate("CNOT", (0, 3), 2)
@@ -139,6 +202,52 @@ class TestExactGate:
             exact_gate("CNOT", (1, 1), 2)
         with pytest.raises(ValidationError):
             exact_gate("Q", (0,), 1)
+
+
+class TestEmbed:
+    def test_one_routine(self):
+        assert words.embed is ring.embed
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_matches_per_index_reference(self, width, rng):
+        for k in range(1, min(width, 3) + 1):
+            for targets in itertools.permutations(range(width), k):
+                d = 1 << k
+                floats = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                coeffs = rng.integers(-9, 10, size=(d, d, 4))
+                for gate in (floats, coeffs):
+                    got = ring.embed(gate, targets, width)
+                    assert got.dtype == gate.dtype
+                    assert np.array_equal(got, embed_reference(gate, targets, width)), targets
+
+    def test_exact_gate_is_embedded_table_row(self):
+        for name, (coeffs, denom_exp, _) in ring.GATE_TABLE.items():
+            for targets in itertools.permutations(range(3), ring.GATE_ARITY[name]):
+                got = exact_gate(name, targets, 3)
+                assert got.denom_exp == denom_exp
+                assert np.array_equal(got.coeffs, embed_reference(coeffs, targets, 3))
+
+    def test_mismatched_targets_rejected(self):
+        with pytest.raises(ValidationError):
+            ring.embed(words.GATE_MATRICES["CNOT"], (0,), 2)
+        with pytest.raises(ValidationError):
+            ring.embed(words.GATE_MATRICES["CNOT"], (0, 2), 2)
+
+
+big = st.integers(min_value=-(2**90), max_value=2**90)
+
+
+@given(st.lists(big, min_size=32, max_size=32), st.integers(min_value=2**61, max_value=2**90))
+def test_object_exact_mul_matches_ring_elements(values, large):
+    values[0] = large  # at least one coefficient leaves the int64 path
+    A, B = (ExactMatrix(np.array(half, dtype=object).reshape(2, 2, 4))
+            for half in (values[:16], values[16:]))
+    assert A.coeffs.dtype == object
+    got = exact_mul(A, B)
+    for i in range(2):
+        for j in range(2):
+            want = A.entry(i, 0) * B.entry(0, j) + A.entry(i, 1) * B.entry(1, j)
+            assert got.entry(i, j) == want
 
 
 class TestExactMul:

@@ -244,6 +244,14 @@ class TestNonFiniteEps:
         with pytest.raises(ValidationError, match="eps"):
             minimal_ladder_power(lambda_frame().lam * math.pi, 1.0, eps)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.0, -0.1])
+    def test_non_positive_reported_as_such(self, eps):
+        # Not as "below the supported floor": both a ladder target and a
+        # passthrough target are rejected before the floor check.
+        for target in (su2.pauli_power("z", 0.3), words.GATE_MATRICES["H"]):
+            with pytest.raises(ValidationError, match="eps must be positive"):
+                approx_su2(target, eps)
+
 
 def sequential_construction(target, powers):
     """The word as built before segments: one Gate per letter, then a
