@@ -57,16 +57,35 @@ def _jsonable(obj):
 
 
 def _state_to_json(state: sim.StateVector) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
+    return state.amplitudes.view(float).reshape(-1, 2).tolist()
 
 
-def _state_from_json(data: dict) -> sim.StateVector:
+def _complex_pairs(value, ndim: int, error: str) -> np.ndarray:
+    """An ndim-dimensional complex array read from nested [re, im] pairs.
+
+    As with ``complex(re, im)``, re and im must be JSON numbers: a string
+    or null raises ``UsageError(error)``.  The float pairs are viewed as
+    complex, so signed zeros come through bit-exact.
+    """
+    try:
+        pairs = np.array(value, dtype=object)
+        if pairs.ndim == ndim + 1 and pairs.shape[-1] == 2 and all(
+            isinstance(x, (int, float)) for x in pairs.flat
+        ):
+            return pairs.astype(float).view(complex)[..., 0]
+    except (ValueError, OverflowError):  # ragged nesting; ints beyond float range
+        pass
+    raise UsageError(error)
+
+
+def _input_state(path: str | None) -> sim.StateVector:
+    """The state in the ``--input`` file, else |+>."""
+    if not path:
+        return sim.plus_state(1)
+    data = _load_json(path)
     if not isinstance(data, dict) or "amplitudes" not in data:
         raise UsageError("state file is missing the field 'amplitudes'")
-    try:
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    except (TypeError, ValueError):
-        raise UsageError("field 'amplitudes' must hold [re, im] pairs") from None
+    amps = _complex_pairs(data["amplitudes"], 1, "field 'amplitudes' must hold [re, im] pairs")
     n = max(len(amps), 1).bit_length() - 1
     if len(amps) < 2 or 1 << n != len(amps):
         raise UsageError("field 'amplitudes' must have length 2^n")
@@ -81,27 +100,21 @@ def _record_to_json(rec: sim.MeasurementRecord) -> dict:
     }
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
+    except OSError:
         raise UsageError(f"cannot open {path!r}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad bytes or too deep
         raise UsageError(f"malformed JSON in {path!r}: {exc}") from None
 
 
 def _resolve_target(target: str) -> np.ndarray:
     if target in TARGET_TAGS:
         return TARGET_TAGS[target]()
-    data = _load_json(target)
-    try:
-        rows = [[complex(re, im) for re, im in row] for row in data]
-    except (TypeError, ValueError):
-        raise UsageError(
-            f"target file {target!r} must hold a 2x2 matrix of [re, im] pairs"
-        ) from None
-    mat = np.array(rows)
+    error = f"target file {target!r} must hold a 2x2 matrix of [re, im] pairs"
+    mat = _complex_pairs(_load_json(target), 2, error)
     if mat.shape != (2, 2):
         raise UsageError(f"target in {target!r} has shape {mat.shape}, expected 2x2")
     return mat
@@ -118,8 +131,8 @@ def _run_constants(cfg: RunConfig) -> tuple[int, dict]:
     return 0, {
         "lambda": frame.lam,
         "cosLambdaPi": float(np.cos(frame.lam * np.pi)),
-        "axis1": [float(x) for x in frame.axis1],
-        "axis2": [float(x) for x in frame.axis2],
+        "axis1": frame.axis1.tolist(),
+        "axis2": frame.axis2.tolist(),
         "axisDot": float(frame.axis1 @ frame.axis2),
         "gen1Word": frame.gen1_word.names(),
     }
@@ -176,41 +189,27 @@ def _run_simulate(cfg: RunConfig) -> tuple[int, dict]:
     rng = np.random.default_rng(cfg.seed)
     recs = []
     for basis, where in measurements:
-        if basis == "z":
-            rec = sim.measure_z(state, where, rng)
-        else:
-            rec = sim.measure_cat_basis(state, where, rng)
+        measure = sim.measure_z if basis == "z" else sim.measure_cat_basis
+        rec = measure(state, where, rng)
         state = rec.post_state
         recs.append(_record_to_json(rec))
     return 0, {"state": _state_to_json(state), "records": recs}
 
 
 def _run_gadget(cfg: RunConfig) -> tuple[int, dict]:
+    p = cfg.parameters
     rng = np.random.default_rng(cfg.seed)
-    kind = cfg.parameters["protocol"]
-    if kind == "t":
-        if cfg.parameters.get("input"):
-            psi = _state_from_json(_load_json(cfg.parameters["input"]))
-        else:
-            psi = sim.plus_state(1)
-        run = gadgets.t_gadget(psi, rng, force_branch=cfg.parameters.get("force_branch"))
-    elif kind == "eigenprep":
-        which = cfg.parameters.get("u", "uphi")
-        if which == "uphi":
-            psi = (
-                _state_from_json(_load_json(cfg.parameters["input"]))
-                if cfg.parameters.get("input")
-                else sim.plus_state(1)
-            )
-            run = gadgets.prepare_eigenstate(
-                gadgets.uphi(), psi, cat_size=cfg.parameters.get("cat_size", 3), rng=rng
-            )
-        elif which == "toffoli":
-            run = gadgets.toffoli_state_run(rng, cat_size=cfg.parameters.get("cat_size", 3))
-        else:
-            raise UsageError(f"unknown eigenprep operator {which!r}")
+    protocol, u, cat_size = p["protocol"], p.get("u", "uphi"), p.get("cat_size", 3)
+    if protocol == "t":
+        psi = _input_state(p.get("input"))
+        run = gadgets.t_gadget(psi, rng, force_branch=p.get("force_branch"))
+    elif (protocol, u) == ("eigenprep", "uphi"):
+        psi = _input_state(p.get("input"))
+        run = gadgets.prepare_eigenstate(gadgets.uphi(), psi, cat_size=cat_size, rng=rng)
+    elif (protocol, u) == ("eigenprep", "toffoli"):
+        run = gadgets.toffoli_state_run(rng, cat_size=cat_size)
     else:
-        raise UsageError(f"unknown gadget {kind!r}")
+        raise UsageError(f"unknown gadget {protocol!r} with operator {u!r}")
     return 0, {
         "protocol": run.protocol,
         "outcomes": [_record_to_json(r) for r in run.outcome_trace],
@@ -219,7 +218,7 @@ def _run_gadget(cfg: RunConfig) -> tuple[int, dict]:
     }
 
 
-def _suite_identities() -> dict:
+def _suite_identities(seed: int) -> dict:
     results = [r.to_json_dict() for r in gadgets.identity_report()]
     return {"identities": results, "holds": all(r["holds"] for r in results)}
 
@@ -228,14 +227,11 @@ def _suite_ring(seed: int, n_words: int = 200) -> dict:
     rng = np.random.default_rng(seed)
     closed = 0
     for _ in range(n_words):
-        length = int(rng.integers(1, 51))
-        mat = ring.ExactMatrix.identity(8)
-        for _ in range(length):
+        gates = []
+        for _ in range(int(rng.integers(1, 51))):
             name = ring.SHOR_BASIS[rng.integers(0, len(ring.SHOR_BASIS))]
-            targets = tuple(rng.permutation(3)[: ring.GATE_ARITY[name]])
-            mat = ring.exact_mul(mat, ring.exact_gate(name, targets, 3))
-        if ring.gaussian_obstruction(mat):
-            closed += 1
+            gates.append((name, tuple(rng.permutation(3)[: ring.GATE_ARITY[name]])))
+        closed += ring.gaussian_obstruction(ring.exact_word(gates, 3))
     t_exact = ring.exact_gate("T", (0,), 1)
     t_obstructed = not ring.gaussian_obstruction(t_exact)
     roundtrip = ring.ExactMatrix.from_json_dict(t_exact.to_json_dict()) == t_exact
@@ -248,7 +244,7 @@ def _suite_ring(seed: int, n_words: int = 200) -> dict:
     }
 
 
-def _suite_cyclotomic() -> dict:
+def _suite_cyclotomic(seed: int) -> dict:
     quartic = RationalPolynomial.from_json(["1/1", "1/1", "1/4", "1/1", "1/1"])
     quadratic = RationalPolynomial.from_json(["1/1", "-1/2", "1/1"])
     v1 = is_cyclotomic(quartic)
@@ -271,7 +267,7 @@ def _suite_cyclotomic() -> dict:
     }
 
 
-def _suite_rho() -> dict:
+def _suite_rho(seed: int) -> dict:
     rhos = synth.rho_generators()
     eigs = np.sort_complex(np.linalg.eigvals(rhos["r2"]))
     expected = np.sort_complex(
@@ -333,23 +329,24 @@ def _suite_gadgets(seed: int) -> dict:
     }
 
 
+#: Every suite takes the seed; only ring and gadgets draw from it.
+_SUITES = {
+    "identities": _suite_identities,
+    "ring": _suite_ring,
+    "cyclotomic": _suite_cyclotomic,
+    "rho": _suite_rho,
+    "gadgets": _suite_gadgets,
+}
+
+
 def _run_verify(cfg: RunConfig) -> tuple[int, dict]:
     suite = cfg.parameters["suite"]
-    runners = {
-        "identities": lambda: _suite_identities(),
-        "ring": lambda: _suite_ring(cfg.seed),
-        "cyclotomic": lambda: _suite_cyclotomic(),
-        "rho": lambda: _suite_rho(),
-        "gadgets": lambda: _suite_gadgets(cfg.seed),
-    }
     if suite == "all":
-        report = {name: run() for name, run in runners.items()}
-        holds = all(sub["holds"] for sub in report.values())
-        report["holds"] = holds
+        report = {name: check(cfg.seed) for name, check in _SUITES.items()}
+        report["holds"] = all(sub["holds"] for sub in report.values())
     else:
-        report = runners[suite]()
-        holds = report["holds"]
-    return (0 if holds else 1), {"suite": suite, "report": report}
+        report = _SUITES[suite](cfg.seed)
+    return (0 if report["holds"] else 1), {"suite": suite, "report": report}
 
 
 _RUNNERS = {
@@ -360,31 +357,23 @@ _RUNNERS = {
     "constants": _run_constants,
 }
 
+def _report(command: str, **fields) -> str:
+    """One strict JSON report: the tool header, then ``fields``."""
+    document = {"tool": "ftbasis", "version": __version__, "command": command, **fields}
+    return json.dumps(document, sort_keys=True, allow_nan=False, default=_jsonable)
+
 
 def run(cfg: RunConfig) -> tuple[int, str]:
     """Execute a resolved configuration; returns (exit_code, JSON text)."""
     try:
+        seed = cfg.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
         code, payload = _RUNNERS[cfg.command](cfg)
     except (UsageError, ValidationError, UnsupportedPrecisionError) as exc:
-        err = {
-            "tool": "ftbasis",
-            "version": __version__,
-            "command": cfg.command,
-            "error": str(exc),
-        }
-        return 2, json.dumps(err, sort_keys=True, default=_jsonable)
-    document = {
-        "tool": "ftbasis",
-        "version": __version__,
-        "command": cfg.command,
-        "config": {
-            "parameters": cfg.parameters,
-            "seed": cfg.seed,
-            "out": cfg.output_path,
-        },
-    }
-    document.update(payload)
-    return code, json.dumps(document, sort_keys=True, default=_jsonable)
+        return 2, _report(cfg.command, error=str(exc))
+    config = {"parameters": cfg.parameters, "seed": cfg.seed, "out": cfg.output_path}
+    return code, _report(cfg.command, config=config, **payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,79 +382,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gate-set compilation and verification over {H, T, CNOT}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p_synth = sub.add_parser("synth", help="approximate a single-qubit unitary")
+    p_synth = sub.add_parser("synth", parents=[out], help="approximate a single-qubit unitary")
     p_synth.add_argument("--target", required=True, help="tag (h|t|s|z8) or JSON path")
     p_synth.add_argument("--eps", type=float, required=True)
-    p_synth.add_argument("--out", default=None)
 
-    p_sim = sub.add_parser("simulate", help="run a JSON circuit")
+    p_sim = sub.add_parser("simulate", parents=[seeded], help="run a JSON circuit")
     p_sim.add_argument("--circuit", required=True)
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sim.add_argument("--out", default=None)
 
     p_gadget = sub.add_parser("gadget", help="run a measurement-based protocol")
     gsub = p_gadget.add_subparsers(dest="protocol", required=True)
-    p_t = gsub.add_parser("t")
+    p_t = gsub.add_parser("t", parents=[seeded])
     p_t.add_argument("--input", default=None)
     p_t.add_argument("--force-branch", type=int, choices=(0, 1), default=None)
-    p_t.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_t.add_argument("--out", default=None)
-    p_e = gsub.add_parser("eigenprep")
+    p_e = gsub.add_parser("eigenprep", parents=[seeded])
     p_e.add_argument("--u", choices=("uphi", "toffoli"), default="uphi")
     p_e.add_argument("--input", default=None)
     p_e.add_argument("--cat-size", type=int, default=3)
-    p_e.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_e.add_argument("--out", default=None)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = sub.add_parser("verify", parents=[seeded], help="run a verification suite")
     p_verify.add_argument("--suite", choices=VERIFY_SUITES, required=True)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--out", default=None)
 
-    p_const = sub.add_parser("constants", help="print the ladder-frame constants")
-    p_const.add_argument("--out", default=None)
+    sub.add_parser("constants", parents=[out], help="print the ladder-frame constants")
     return parser
 
 
 def config_from_args(argv: list[str]) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    params: dict = {}
-    if args.command == "synth":
-        params = {"target": args.target, "eps": args.eps}
-    elif args.command == "simulate":
-        params = {"circuit": args.circuit}
-    elif args.command == "gadget":
-        params = {"protocol": args.protocol}
-        if args.protocol == "t":
-            params["input"] = args.input
-            params["force_branch"] = args.force_branch
-        else:
-            params["u"] = args.u
-            params["input"] = args.input
-            params["cat_size"] = args.cat_size
-    elif args.command == "verify":
-        params = {"suite": args.suite}
-    return RunConfig(
-        command=args.command,
-        parameters=params,
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        output_path=args.out,
-    )
+    """Every argparse destination but command, seed and out is a parameter."""
+    params = vars(build_parser().parse_args(argv))
+    command, seed, out = params.pop("command"), params.pop("seed", DEFAULT_SEED), params.pop("out")
+    return RunConfig(command, params, seed, out)
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        cfg = config_from_args(argv)
+        cfg = config_from_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     code, text = run(cfg)
-    print(text)
     if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg.output_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            error = f"cannot write {cfg.output_path!r}: {exc.strerror}"
+            code, text = 2, _report(cfg.command, error=error)
+    print(text)
     return code
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ring, sim, su2, words
 from .errors import ValidationError
-from .ring import IMAG, ONE, ExactMatrix, RingElement, exact_controlled, exact_word
+from .ring import ExactMatrix, exact_controlled, exact_word, monomial
 from .sim import MeasurementRecord, StateVector
 from .words import GateWord
 
@@ -196,22 +196,6 @@ class IdentityResult:
         }
 
 
-def _exact_diag(values: list[RingElement]) -> ExactMatrix:
-    n = len(values)
-    arr = np.zeros((n, n, 4), dtype=object)
-    for i, e in enumerate(values):
-        arr[i, i] = [e.a, e.b, e.c, e.d]
-    return ExactMatrix(arr)
-
-
-def _exact_perm(targets: list[int]) -> ExactMatrix:
-    n = len(targets)
-    arr = np.zeros((n, n, 4), dtype=object)
-    for col, row in enumerate(targets):
-        arr[row, col, 0] = 1
-    return ExactMatrix(arr)
-
-
 def _xy_conjugator(q: int) -> list[tuple[str, tuple[int, ...]]]:
     # H S^dag H S H: an involution conjugating sigma_x to sigma_y.
     return [("H", (q,)), ("Sdag", (q,)), ("H", (q,)), ("S", (q,)), ("H", (q,))]
@@ -245,15 +229,6 @@ def _csx_word(ctrl: int, tgt: int, dagger: bool = False) -> list[tuple[str, tupl
     return [("H", (tgt,))] + inner + [("H", (tgt,))]
 
 
-def _ccy_const() -> ExactMatrix:
-    arr = np.zeros((8, 8, 4), dtype=object)
-    for i in range(6):
-        arr[i, i, 0] = 1
-    arr[6, 7, 2] = -1
-    arr[7, 6, 2] = 1
-    return ExactMatrix(arr)
-
-
 def _exact_cases() -> dict[str, tuple[ExactMatrix, ExactMatrix]]:
     # CCX * CCY * CCZ puts the phase i on the |11> control block.
     cs_from_cc = (
@@ -276,28 +251,28 @@ def _exact_cases() -> dict[str, tuple[ExactMatrix, ExactMatrix]]:
     return {
         "XYZ_PHASE": (
             exact_word([("X", (0,)), ("Y", (0,)), ("Z", (0,))], 1),
-            _exact_diag([IMAG, IMAG]),
+            ExactMatrix(monomial((0, 1), (2, 2))),
         ),
         "CS_FROM_CC_PAULIS": (
             exact_word(cs_from_cc, 3),
-            _exact_diag([ONE, ONE, ONE, ONE, ONE, ONE, IMAG, IMAG]),
+            ExactMatrix(monomial(range(8), (0,) * 6 + (2, 2))),
         ),
         "TOFFOLI_FROM_CSX": (
             exact_word(toffoli_from_csx, 3),
             ring.exact_gate("TOFFOLI", (0, 1, 2), 3),
         ),
-        "SWAP": (exact_word(swap_word, 2), _exact_perm([0, 2, 1, 3])),
+        "SWAP": (exact_word(swap_word, 2), ExactMatrix(monomial((0, 2, 1, 3)))),
         "CCZ_FROM_TOFFOLI": (
             exact_word([("H", (2,)), ("TOFFOLI", (0, 1, 2)), ("H", (2,))], 3),
-            _exact_diag([ONE] * 7 + [-ONE]),
+            ExactMatrix(monomial(range(8), (0,) * 7 + (4,))),
         ),
         "CCY_FROM_TOFFOLI": (
             exact_word(_xy_conjugator(2) + [("TOFFOLI", (0, 1, 2))] + _xy_conjugator(2), 3),
-            _ccy_const(),
+            ExactMatrix(monomial((0, 1, 2, 3, 4, 5, 7, 6), (0,) * 6 + (6, 2))),
         ),
         "CS_FROM_T_CNOT": (
             exact_word(_cs_word(0, 1), 2),
-            _exact_diag([ONE, ONE, ONE, IMAG]),
+            ExactMatrix(monomial(range(4), (0, 0, 0, 2))),
         ),
     }
 

@@ -23,6 +23,7 @@ results are exact at every size.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,29 +113,31 @@ def _coeffs(powers: list[list[int | None]]) -> np.ndarray:
     return out
 
 
-def _permutation(perm: tuple[int, ...]) -> list[list[int | None]]:
-    return [[0 if j == perm[i] else None for j in range(len(perm))] for i in range(len(perm))]
+def monomial(cols: Sequence[int], phases: Sequence[int] | None = None) -> np.ndarray:
+    """Coefficient array with entry (i, cols[i]) = z^phases[i] and zeros elsewhere.
 
+    Phases default to 0, which makes a permutation matrix.
+    """
+    n = len(cols)
+    phases = phases or (0,) * n
+    return _coeffs([[phases[i] if j == cols[i] else None for j in range(n)] for i in range(n)])
 
-_ = None
 
 #: The generators: name -> (coefficients, sqrt(2) exponent, inverse name).
-#: Every entry is 0 or z^p, so each row is written as z-exponents; every
-#: other gate matrix in the package is derived from this table.
+#: Every entry is 0 or z^p, and every generator but H has one nonzero
+#: entry per row, so it is written as a monomial; every other gate matrix
+#: in the package is derived from this table.
 GATE_TABLE: dict[str, tuple[np.ndarray, int, str]] = {
-    name: (_coeffs(powers), denom_exp, inverse)
-    for name, powers, denom_exp, inverse in (
-        ("H", [[0, 0], [0, 4]], 1, "H"),
-        ("T", [[0, _], [_, 1]], 0, "Tdag"),
-        ("Tdag", [[0, _], [_, 7]], 0, "T"),
-        ("S", [[0, _], [_, 2]], 0, "Sdag"),
-        ("Sdag", [[0, _], [_, 6]], 0, "S"),
-        ("X", [[_, 0], [0, _]], 0, "X"),
-        ("Y", [[_, 6], [2, _]], 0, "Y"),
-        ("Z", [[0, _], [_, 4]], 0, "Z"),
-        ("CNOT", _permutation((0, 1, 3, 2)), 0, "CNOT"),
-        ("TOFFOLI", _permutation((0, 1, 2, 3, 4, 5, 7, 6)), 0, "TOFFOLI"),
-    )
+    "H": (_coeffs([[0, 0], [0, 4]]), 1, "H"),
+    "T": (monomial((0, 1), (0, 1)), 0, "Tdag"),
+    "Tdag": (monomial((0, 1), (0, 7)), 0, "T"),
+    "S": (monomial((0, 1), (0, 2)), 0, "Sdag"),
+    "Sdag": (monomial((0, 1), (0, 6)), 0, "S"),
+    "X": (monomial((1, 0)), 0, "X"),
+    "Y": (monomial((1, 0), (6, 2)), 0, "Y"),
+    "Z": (monomial((0, 1), (0, 4)), 0, "Z"),
+    "CNOT": (monomial((0, 1, 3, 2)), 0, "CNOT"),
+    "TOFFOLI": (monomial((0, 1, 2, 3, 4, 5, 7, 6)), 0, "TOFFOLI"),
 }
 EXACT_GATE_NAMES = tuple(GATE_TABLE)
 GATE_ARITY = {name: len(c).bit_length() - 1 for name, (c, _, _) in GATE_TABLE.items()}

@@ -27,8 +27,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValidationError(f"qubit count must be in [1, {MAX_QUBITS}]")
+        _check_width(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != 1 << self.n_qubits:
             raise ValidationError("amplitude count must be 2^n")
@@ -52,19 +51,28 @@ class MeasurementRecord:
     post_state: StateVector
 
 
+def _check_width(n: int) -> None:
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValidationError(f"qubit count must be in [1, {MAX_QUBITS}]")
+
+
+# The makers check the width before they allocate 2^n amplitudes.
 def zero_state(n: int) -> StateVector:
+    _check_width(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return StateVector(n, amps)
 
 
 def cat_state(n: int) -> StateVector:
+    _check_width(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = amps[-1] = 1 / np.sqrt(2)
     return StateVector(n, amps)
 
 
 def plus_state(n: int) -> StateVector:
+    _check_width(n)
     amps = np.full(1 << n, 1 / np.sqrt(2.0) ** n, dtype=complex)
     return StateVector(n, amps)
 
@@ -73,8 +81,6 @@ def prepare(kind: str, n: int) -> StateVector:
     makers = {"zero": zero_state, "cat": cat_state, "plus": plus_state}
     if kind not in makers:
         raise ValidationError(f"unknown preparation {kind!r}")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValidationError(f"qubit count must be in [1, {MAX_QUBITS}]")
     return makers[kind](n)
 
 
@@ -135,6 +141,8 @@ def measure_z(state: StateVector, qubit: int, rng: np.random.Generator) -> Measu
 
 def _cat_components(state: StateVector, block: tuple[int, ...]):
     n = state.n_qubits
+    if not block or len(set(block)) != len(block) or any(q < 0 or q >= n for q in block):
+        raise ValidationError(f"bad block {block}")
     idx = np.arange(1 << n)
     bits = np.zeros_like(idx)
     for q in block:
@@ -151,10 +159,6 @@ def project_cat(
     block = tuple(block)
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
-    if len(set(block)) != len(block) or any(
-        q < 0 or q >= state.n_qubits for q in block
-    ):
-        raise ValidationError(f"bad block {block}")
     all0, all1 = _cat_components(state, block)
     off = float(np.sum(np.abs(state.amplitudes[~(all0 | all1)]) ** 2))
     if np.sqrt(off) > 1e-9:

@@ -130,6 +130,7 @@ class TestSimulateCommand:
             ({"width": 1, "gates": [], "measurements": ["z"]}, "measurement"),
             ({"width": 1, "gates": [], "measurements": [{"basis": ["z"], "qubit": 0}]}, "basis"),
             ({"width": 1, "gates": [], "measurements": {"basis": "z"}}, "measurements"),
+            ({"width": 2, "gates": [], "measurements": [{"basis": "cat", "block": []}]}, "block"),
         ],
     )
     def test_malformed_field_is_usage_error(self, circuit, field, tmp_path, capsys):
@@ -173,6 +174,10 @@ class TestGadgetCommand:
         assert code == 0
         doc = json.loads(text)
         assert doc["outcomes"][0]["outcome"] in (1, -1)
+
+    def test_eigenprep_toffoli_never_opens_input(self, tmp_path):
+        argv = ["gadget", "eigenprep", "--u", "toffoli", "--input", str(tmp_path / "absent.json")]
+        assert run_argv(argv)[0] == 0
 
     def test_eigenprep_toffoli(self):
         code, text = run_argv(["gadget", "eigenprep", "--u", "toffoli", "--seed", "2"])
@@ -257,3 +262,92 @@ class TestMainEntry:
     def test_usage_error_exit_2(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
         assert main(["bogus"]) == 2
+
+
+def single_document(capsys) -> dict:
+    """The one strict JSON document on stdout; stderr holds no traceback."""
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return strict_json(captured.out)
+
+
+class TestExitContract:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["gadget", "t", "--seed", "-1"], "seed"),
+            (["gadget", "eigenprep", "--seed", "-1"], "seed"),
+            (["simulate", "--circuit", "{circuit}", "--seed", "-5"], "seed"),
+            (["verify", "--suite", "ring", "--seed", "-1"], "seed"),
+            (["constants", "--out", "{missing}/x.json"], "{missing}/x.json"),
+            (["gadget", "t", "--out", "{dir}"], "{dir}"),
+            (["gadget", "t", "--input", "{dir}"], "{dir}"),
+        ],
+    )
+    def test_bad_input_exits_2_with_one_document(self, argv, named, tmp_path, capsys):
+        (tmp_path / "c.json").write_text(json.dumps({"width": 1, "gates": []}))
+        paths = {"circuit": tmp_path / "c.json", "missing": tmp_path / "missing", "dir": tmp_path}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 2
+        assert named.format(**paths) in single_document(capsys)["error"]
+
+    @pytest.mark.parametrize("data", [b"[" * 100_000, b"\xff\xfe"], ids=["deep", "not-utf8"])
+    def test_unreadable_document_is_usage_error(self, data, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        assert main(["gadget", "t", "--input", str(path)]) == 2
+        assert "malformed JSON" in single_document(capsys)["error"]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_library_seed_rejected(self, seed):
+        code, text = run(cli.RunConfig("gadget", {"protocol": "t"}, seed=seed))
+        assert code == 2
+        assert "seed" in strict_json(text)["error"]
+
+    def test_report_is_strict_json(self, monkeypatch):
+        monkeypatch.setitem(cli._RUNNERS, "constants", lambda cfg: (0, {"x": float("nan")}))
+        with pytest.raises(ValueError):
+            run_argv(["constants"])
+
+
+class TestPairReader:
+    def test_signed_zeros_bit_exact(self, tmp_path):
+        pairs = [[[-0.0, 0.0], [1.0, -0.0]], [[1.0, 0.0], [-0.0, -0.0]]]
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(pairs))
+        mat = cli._resolve_target(str(path))
+        assert np.signbit(mat.real).tolist() == np.signbit(np.array(pairs)[..., 0]).tolist()
+        assert np.signbit(mat.imag).tolist() == np.signbit(np.array(pairs)[..., 1]).tolist()
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[["1.0", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            [[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]],
+            [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]],
+            [[[[1.0, 0.0]]]],
+            [],
+        ],
+    )
+    def test_malformed_target_is_usage_error(self, pairs, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(pairs))
+        assert main(["synth", "--target", str(path), "--eps", "0.1"]) == 2
+        assert "[re, im] pairs" in single_document(capsys)["error"]
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            [["1.0", 0], [0, 0]],
+            [[None, 0], [1, 0]],
+            [[1, 0], [0]],
+            [[10**400, 0], [0, 0]],
+            [[[1, 0]], [[0, 0]]],
+        ],
+    )
+    def test_malformed_state_is_usage_error(self, amplitudes, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"amplitudes": amplitudes}))
+        assert main(["gadget", "t", "--input", str(path)]) == 2
+        assert "[re, im] pairs" in single_document(capsys)["error"]

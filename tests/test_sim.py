@@ -54,6 +54,13 @@ class TestPrepare:
         rec = measure_cat_basis(s, tuple(range(12)), rng)
         assert rec.outcome == 1 and rec.probability == pytest.approx(1.0)
 
+    # 64 qubits would ask numpy for 2^64 amplitudes if the check came second.
+    @pytest.mark.parametrize("maker", [zero_state, cat_state, plus_state])
+    @pytest.mark.parametrize("n", [-1, 64])
+    def test_maker_checks_width_before_allocating(self, maker, n):
+        with pytest.raises(ValidationError, match="qubit count"):
+            maker(n)
+
     def test_norm_validation(self):
         with pytest.raises(ValidationError):
             StateVector(1, np.array([1.0, 1.0]))
@@ -192,3 +199,10 @@ class TestCatBasis:
         s = plus_state(3)  # uniform support, far outside the cat subspace
         with pytest.raises(ValidationError):
             measure_cat_basis(s, (0, 1, 2), rng)
+
+    def test_empty_block_rejected(self, rng):
+        s = cat_state(2)
+        with pytest.raises(ValidationError, match="bad block"):
+            project_cat(s, (), 1)
+        with pytest.raises(ValidationError, match="bad block"):
+            measure_cat_basis(s, (), rng)
