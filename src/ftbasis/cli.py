@@ -162,6 +162,18 @@ def _measurement(entry) -> tuple[str, int | tuple[int, ...]]:
     return basis, tuple(_int_field(q, "block") for q in entry["block"])
 
 
+def _gate(entry) -> words.Gate:
+    """One gate entry of a circuit file."""
+    if not isinstance(entry, dict) or "name" not in entry or "targets" not in entry:
+        raise UsageError("each gate needs fields 'name' and 'targets'")
+    name, targets = entry["name"], entry["targets"]
+    if not isinstance(name, str):
+        raise UsageError(f"field 'name' must be a gate name, got {name!r}")
+    if not isinstance(targets, list):
+        raise UsageError(f"field 'targets' must be a list of qubits, got {targets!r}")
+    return words.Gate(name, tuple(_int_field(t, "targets") for t in targets))
+
+
 def _run_simulate(cfg: RunConfig) -> tuple[int, dict]:
     data = _load_json(cfg.parameters["circuit"])
     if not isinstance(data, dict):
@@ -170,14 +182,10 @@ def _run_simulate(cfg: RunConfig) -> tuple[int, dict]:
         if fieldname not in data:
             raise UsageError(f"circuit file is missing the field {fieldname!r}")
     width = _int_field(data["width"], "width")
+    if not isinstance(data["gates"], list):
+        raise UsageError("field 'gates' must be a list of gates")
     try:
-        gates = tuple(
-            words.Gate(entry["name"], tuple(_int_field(t, "targets") for t in entry["targets"]))
-            for entry in data["gates"]
-        )
-        w = words.GateWord(gates, width)
-    except (KeyError, TypeError):
-        raise UsageError("each gate needs fields 'name' and 'targets'") from None
+        w = words.GateWord(tuple(_gate(entry) for entry in data["gates"]), width)
     except ValidationError as exc:
         raise UsageError(f"bad circuit: {exc}") from None
     measurements = data.get("measurements", [])
@@ -363,6 +371,14 @@ def _report(command: str, **fields) -> str:
     return json.dumps(document, sort_keys=True, allow_nan=False, default=_jsonable)
 
 
+#: Exception class -> the ``errorKind`` of its error document (exit code 2).
+_ERROR_KINDS = {
+    UsageError: "usage",
+    ValidationError: "validation",
+    UnsupportedPrecisionError: "precision",
+}
+
+
 def run(cfg: RunConfig) -> tuple[int, str]:
     """Execute a resolved configuration; returns (exit_code, JSON text)."""
     try:
@@ -370,8 +386,9 @@ def run(cfg: RunConfig) -> tuple[int, str]:
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
         code, payload = _RUNNERS[cfg.command](cfg)
-    except (UsageError, ValidationError, UnsupportedPrecisionError) as exc:
-        return 2, _report(cfg.command, error=str(exc))
+    except tuple(_ERROR_KINDS) as exc:
+        kind = next(k for cls, k in _ERROR_KINDS.items() if isinstance(exc, cls))
+        return 2, _report(cfg.command, error=str(exc), errorKind=kind)
     config = {"parameters": cfg.parameters, "seed": cfg.seed, "out": cfg.output_path}
     return code, _report(cfg.command, config=config, **payload)
 
@@ -430,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text + "\n")
         except OSError as exc:
             error = f"cannot write {cfg.output_path!r}: {exc.strerror}"
-            code, text = 2, _report(cfg.command, error=error)
+            code, text = 2, _report(cfg.command, error=error, errorKind="usage")
     print(text)
     return code
 

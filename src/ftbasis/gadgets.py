@@ -229,52 +229,58 @@ def _csx_word(ctrl: int, tgt: int, dagger: bool = False) -> list[tuple[str, tupl
     return [("H", (tgt,))] + inner + [("H", (tgt,))]
 
 
+# CCX * CCY * CCZ puts the phase i on the |11> control block.
+_CS_FROM_CC_WORD = (
+    [("TOFFOLI", (0, 1, 2))]
+    + _xy_conjugator(2) + [("TOFFOLI", (0, 1, 2))] + _xy_conjugator(2)
+    + [("H", (2,)), ("TOFFOLI", (0, 1, 2)), ("H", (2,))]
+)
+_TOFFOLI_FROM_CSX_WORD = (
+    _csx_word(0, 2)
+    + [("CNOT", (0, 1))]
+    + _csx_word(1, 2, dagger=True)
+    + [("CNOT", (0, 1))]
+    + _csx_word(1, 2)
+)
+_SWAP_WORD = [
+    ("CNOT", (0, 1)), ("H", (0,)), ("H", (1,)),
+    ("CNOT", (0, 1)), ("H", (0,)), ("H", (1,)),
+    ("CNOT", (0, 1)),
+]
+
+#: Identity id -> builder of the (lhs, rhs) pair that must be exactly equal.
+_EXACT_CASES = {
+    "XYZ_PHASE": lambda: (
+        exact_word([("X", (0,)), ("Y", (0,)), ("Z", (0,))], 1),
+        ExactMatrix(monomial((0, 1), (2, 2))),
+    ),
+    "CS_FROM_CC_PAULIS": lambda: (
+        exact_word(_CS_FROM_CC_WORD, 3),
+        ExactMatrix(monomial(range(8), (0,) * 6 + (2, 2))),
+    ),
+    "TOFFOLI_FROM_CSX": lambda: (
+        exact_word(_TOFFOLI_FROM_CSX_WORD, 3),
+        ring.exact_gate("TOFFOLI", (0, 1, 2), 3),
+    ),
+    "SWAP": lambda: (exact_word(_SWAP_WORD, 2), ExactMatrix(monomial((0, 2, 1, 3)))),
+    "CCZ_FROM_TOFFOLI": lambda: (
+        exact_word([("H", (2,)), ("TOFFOLI", (0, 1, 2)), ("H", (2,))], 3),
+        ExactMatrix(monomial(range(8), (0,) * 7 + (4,))),
+    ),
+    "CCY_FROM_TOFFOLI": lambda: (
+        exact_word(_xy_conjugator(2) + [("TOFFOLI", (0, 1, 2))] + _xy_conjugator(2), 3),
+        ExactMatrix(monomial((0, 1, 2, 3, 4, 5, 7, 6), (0,) * 6 + (6, 2))),
+    ),
+    "CS_FROM_T_CNOT": lambda: (
+        exact_word(_cs_word(0, 1), 2),
+        ExactMatrix(monomial(range(4), (0, 0, 0, 2))),
+    ),
+}
+
+
 def _exact_cases() -> dict[str, tuple[ExactMatrix, ExactMatrix]]:
-    # CCX * CCY * CCZ puts the phase i on the |11> control block.
-    cs_from_cc = (
-        [("TOFFOLI", (0, 1, 2))]
-        + _xy_conjugator(2) + [("TOFFOLI", (0, 1, 2))] + _xy_conjugator(2)
-        + [("H", (2,)), ("TOFFOLI", (0, 1, 2)), ("H", (2,))]
-    )
-    toffoli_from_csx = (
-        _csx_word(0, 2)
-        + [("CNOT", (0, 1))]
-        + _csx_word(1, 2, dagger=True)
-        + [("CNOT", (0, 1))]
-        + _csx_word(1, 2)
-    )
-    swap_word = [
-        ("CNOT", (0, 1)), ("H", (0,)), ("H", (1,)),
-        ("CNOT", (0, 1)), ("H", (0,)), ("H", (1,)),
-        ("CNOT", (0, 1)),
-    ]
-    return {
-        "XYZ_PHASE": (
-            exact_word([("X", (0,)), ("Y", (0,)), ("Z", (0,))], 1),
-            ExactMatrix(monomial((0, 1), (2, 2))),
-        ),
-        "CS_FROM_CC_PAULIS": (
-            exact_word(cs_from_cc, 3),
-            ExactMatrix(monomial(range(8), (0,) * 6 + (2, 2))),
-        ),
-        "TOFFOLI_FROM_CSX": (
-            exact_word(toffoli_from_csx, 3),
-            ring.exact_gate("TOFFOLI", (0, 1, 2), 3),
-        ),
-        "SWAP": (exact_word(swap_word, 2), ExactMatrix(monomial((0, 2, 1, 3)))),
-        "CCZ_FROM_TOFFOLI": (
-            exact_word([("H", (2,)), ("TOFFOLI", (0, 1, 2)), ("H", (2,))], 3),
-            ExactMatrix(monomial(range(8), (0,) * 7 + (4,))),
-        ),
-        "CCY_FROM_TOFFOLI": (
-            exact_word(_xy_conjugator(2) + [("TOFFOLI", (0, 1, 2))] + _xy_conjugator(2), 3),
-            ExactMatrix(monomial((0, 1, 2, 3, 4, 5, 7, 6), (0,) * 6 + (6, 2))),
-        ),
-        "CS_FROM_T_CNOT": (
-            exact_word(_cs_word(0, 1), 2),
-            ExactMatrix(monomial(range(4), (0, 0, 0, 2))),
-        ),
-    }
+    """Every exact identity's (lhs, rhs) pair."""
+    return {name: build() for name, build in _EXACT_CASES.items()}
 
 
 def _verify_csx_h_conj() -> IdentityResult:
@@ -308,7 +314,7 @@ def verify_identity(identity_id: str) -> IdentityResult:
         return _verify_ladder_trace()
     if identity_id == "CSX_H_CONJ":
         return _verify_csx_h_conj()
-    lhs, rhs = _exact_cases()[identity_id]
+    lhs, rhs = _EXACT_CASES[identity_id]()
     holds = lhs == rhs
     residual: float | int = 0
     if not holds:

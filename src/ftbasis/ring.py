@@ -197,10 +197,18 @@ def _coeff_storage(data) -> np.ndarray:
     return obj
 
 
+def _max_abs(coeffs: np.ndarray) -> int:
+    if coeffs.dtype == np.int64:
+        return int(np.abs(coeffs).max())
+    return max(abs(int(x)) for x in coeffs.reshape(-1))
+
+
 class ExactMatrix:
     """Matrix with Z[zeta_8] numerators over a global sqrt(2)^ell denominator."""
 
-    __slots__ = ("dim", "denom_exp", "coeffs")
+    # ``_gather`` is the signed-gather form of ``A @ self`` (see
+    # ``_right_action``), set only on the cached table gates.
+    __slots__ = ("dim", "denom_exp", "coeffs", "_gather")
 
     def __init__(self, coeffs, denom_exp: int = 0, reduce: bool = True):
         arr = _coeff_storage(coeffs)
@@ -211,6 +219,7 @@ class ExactMatrix:
         self.dim = int(arr.shape[0])
         self.coeffs = arr
         self.denom_exp = int(denom_exp)
+        self._gather = None
         if reduce:
             self._reduce()
         self.coeffs.flags.writeable = False
@@ -233,9 +242,7 @@ class ExactMatrix:
         return RingElement(*(int(x) for x in self.coeffs[i, j]))
 
     def max_abs_coeff(self) -> int:
-        if self.coeffs.dtype == np.int64:
-            return int(np.abs(self.coeffs).max())
-        return max(abs(int(x)) for x in self.coeffs.reshape(-1))
+        return _max_abs(self.coeffs)
 
     def to_complex(self) -> np.ndarray:
         num = self.coeffs.astype(complex) @ _BASIS
@@ -290,10 +297,34 @@ class ExactMatrix:
         return cls(arr, 0, reduce=False)
 
 
+def _right_action(coeffs: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+    """``A @ G`` as signed gathers over the (dim, 4 dim) view of A.
+
+    Returns terms ``(idx, sign)`` with ``A @ G`` the sum over the terms
+    of ``A_flat[:, idx] * sign`` (``sign`` is None when it is all +1).
+    Entry (l, j) of G is +-z^q, which sends component m of ``A[:, l]``
+    to component (m + q) mod 4 of column j, negated when m + q >= 4.
+    Every table row has one such entry per column (a monomial) or, for
+    H, two, so every output coefficient has the same number of terms.
+    """
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(4 * coeffs.shape[0])]
+    for l, j, q in zip(*np.nonzero(coeffs)):
+        g = int(coeffs[l, j, q])
+        for m in range(4):
+            terms[4 * j + (m + q) % 4].append((4 * l + m, -g if m + q >= 4 else g))
+    action = []
+    for column_terms in zip(*terms, strict=True):
+        idx, sign = np.array(column_terms).T
+        action.append((idx, None if (sign == 1).all() else sign))
+    return tuple(action)
+
+
 @lru_cache(maxsize=None)
 def _cached_gate(name: str, targets: tuple[int, ...], width: int) -> ExactMatrix:
     coeffs, denom_exp, _ = GATE_TABLE[name]
-    return ExactMatrix(embed(coeffs, targets, width), denom_exp, reduce=False)
+    gate = ExactMatrix(embed(coeffs, targets, width), denom_exp, reduce=False)
+    gate._gather = _right_action(gate.coeffs)
+    return gate
 
 
 def exact_gate(name: str, targets: tuple[int, ...] | list[int], width: int) -> ExactMatrix:
@@ -317,14 +348,46 @@ def _mix_components(P: np.ndarray) -> np.ndarray:
     return np.stack((c0, c1, c2, c3), axis=-1)
 
 
+def _gather_mul(A: ExactMatrix, G: ExactMatrix) -> ExactMatrix:
+    """``A @ G`` for a cached table gate G: a signed column gather of A.
+
+    Storage follows the generic product: int64 exactly when every
+    unreduced coefficient is below 2^61.  A unit monomial G moves A's
+    coefficients up to sign, so it keeps a reduced matrix reduced and
+    keeps int64 storage with no scan.  H sums two gathers and reduces.
+    """
+    flat = A.coeffs.reshape(A.dim, 4 * A.dim)
+    out = None
+    for idx, sign in G._gather:
+        term = flat.take(idx, axis=1)
+        if sign is not None:
+            term *= sign
+        out = term if out is None else out + term
+    if len(G._gather) == 1 and A.coeffs.dtype == np.int64:
+        dtype = np.int64  # a unit monomial keeps A's max |coeff|
+    else:
+        dtype = np.int64 if _max_abs(out) < _INT64_SAFE else object
+    M = object.__new__(ExactMatrix)  # skips the constructor's storage scans
+    M.dim, M.denom_exp, M._gather = A.dim, A.denom_exp + G.denom_exp, None
+    M.coeffs = out.reshape(A.dim, A.dim, 4).astype(dtype, copy=False)
+    if G.denom_exp > 0:
+        M._reduce()
+    M.coeffs.flags.writeable = False
+    return M
+
+
 def exact_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     """Exact product, canonically reduced.
 
-    Computed in int64 when the coefficient bound keeps every intermediate
-    below 2^63, else over object arrays of Python ints.
+    When B is a cached table gate (``exact_gate``), the product is a
+    signed column gather of A (``_gather_mul``).  Otherwise it is computed
+    in int64 when the coefficient bound keeps every intermediate below
+    2^63, else over object arrays of Python ints.
     """
     if A.dim != B.dim:
         raise ValidationError("dimension mismatch")
+    if B._gather is not None:
+        return _gather_mul(A, B)
     dtype = object
     if A.coeffs.dtype == np.int64 and B.coeffs.dtype == np.int64:
         if A.max_abs_coeff() * B.max_abs_coeff() * A.dim * 4 < _INT64_SAFE:

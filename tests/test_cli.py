@@ -139,6 +139,22 @@ class TestSimulateCommand:
         assert main(["simulate", "--circuit", str(path)]) == 2
         assert field in strict_json(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize(
+        "gates, field",
+        [
+            ([{"name": ["H"], "targets": [0]}], "name"),
+            ([{"name": {"H": 0}, "targets": [0]}], "name"),
+            ([{"name": "H", "targets": 5}], "targets"),
+            ([{"name": "CNOT", "targets": "01"}], "targets"),
+            (5, "gates"),
+        ],
+    )
+    def test_bad_gate_field_is_named(self, gates, field, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({"width": 2, "gates": gates}))
+        assert main(["simulate", "--circuit", str(path)]) == 2
+        assert single_document(capsys)["error"].startswith(f"field {field!r} must be")
+
     def test_oversized_width_rejected_before_allocation(self, tmp_path):
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"width": 40, "gates": []}))
@@ -351,3 +367,41 @@ class TestPairReader:
         path.write_text(json.dumps({"amplitudes": amplitudes}))
         assert main(["gadget", "t", "--input", str(path)]) == 2
         assert "[re, im] pairs" in single_document(capsys)["error"]
+
+
+class TestErrorKind:
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["gadget", "t", "--seed", "-1"], "usage"),
+            (["verify", "--suite", "ring", "--seed", "-1"], "usage"),
+            (["constants", "--out", "{missing}/x.json"], "usage"),
+            (["gadget", "t", "--out", "{dir}"], "usage"),
+            (["gadget", "t", "--input", "{dir}"], "usage"),
+            (["synth", "--target", "{missing}/t.json", "--eps", "0.1"], "usage"),
+            (["simulate", "--circuit", "{bad_gate}"], "usage"),
+            (["synth", "--target", "z8", "--eps=0"], "validation"),
+            (["synth", "--target", "z8", "--eps=nan"], "validation"),
+            (["simulate", "--circuit", "{wide}"], "validation"),
+            (["gadget", "t", "--input", "{nan_state}"], "validation"),
+            (["synth", "--target", "z8", "--eps", "1e-9"], "precision"),
+        ],
+    )
+    def test_error_document_names_its_kind(self, argv, kind, tmp_path, capsys):
+        (tmp_path / "wide.json").write_text(json.dumps({"width": 40, "gates": []}))
+        (tmp_path / "bad_gate.json").write_text(json.dumps({"width": 1, "gates": [{"name": "H"}]}))
+        (tmp_path / "nan.json").write_text('{"amplitudes": [[NaN, 0], [0, 0]]}')
+        paths = {"missing": tmp_path / "missing", "dir": tmp_path,
+                 "wide": tmp_path / "wide.json", "bad_gate": tmp_path / "bad_gate.json",
+                 "nan_state": tmp_path / "nan.json"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        doc = single_document(capsys)
+        assert doc["errorKind"] == kind and doc["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["constants"], ["synth", "--target", "t", "--eps", "0.1"], ["gadget", "t"]],
+    )
+    def test_success_document_has_no_error_kind(self, argv):
+        code, text = run_argv(argv)
+        assert code == 0 and "errorKind" not in strict_json(text)

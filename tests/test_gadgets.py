@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_state
-from ftbasis import sim, su2, words
+from ftbasis import gadgets, sim, su2, words
 from ftbasis.errors import ValidationError
 from ftbasis.gadgets import (
     IDENTITY_IDS,
@@ -17,6 +17,7 @@ from ftbasis.gadgets import (
     uphi_word,
     verify_identity,
 )
+from ftbasis.ring import exact_word
 from ftbasis.sim import StateVector, plus_state, zero_state
 
 T_MATRIX = words.GATE_MATRICES["T"]
@@ -184,6 +185,18 @@ class TestIdentities:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValidationError):
             verify_identity("NOT_AN_ID")
+
+    @pytest.mark.parametrize("identity_id", ["XYZ_PHASE", "TOFFOLI_FROM_CSX"])
+    def test_one_identity_builds_one_exact_word(self, identity_id, monkeypatch):
+        calls = []
+
+        def counting(gates, width):
+            calls.append(width)
+            return exact_word(gates, width)
+
+        monkeypatch.setattr(gadgets, "exact_word", counting)
+        assert verify_identity(identity_id).holds
+        assert len(calls) == 1
 
     def test_report_covers_inventory(self):
         report = identity_report()

@@ -3,10 +3,10 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftbasis import ring, su2, words
+from ftbasis import ring, su2, synth, words
 from ftbasis.errors import ValidationError
 from ftbasis.ring import (
     IMAG,
@@ -375,3 +375,109 @@ class TestExactHelpers:
         want = np.eye(4, dtype=complex)
         want[2:, 2:] = sqrt_x.to_complex()
         assert np.max(np.abs(csx.to_complex() - want)) < 1e-15
+
+
+def generic(gate: ExactMatrix) -> ExactMatrix:
+    """The gate without its gather form, so exact_mul takes the generic product."""
+    return ExactMatrix(gate.coeffs, gate.denom_exp)
+
+
+def generic_chain(start: ExactMatrix, gates, width: int) -> ExactMatrix:
+    out = start
+    for name, targets in gates:
+        out = exact_mul(out, generic(exact_gate(name, targets, width)))
+    return out
+
+
+def gather_chain(start: ExactMatrix, gates, width: int) -> ExactMatrix:
+    out = start
+    for name, targets in gates:
+        out = exact_mul(out, exact_gate(name, targets, width))
+    return out
+
+
+def assert_same_matrix(got: ExactMatrix, want: ExactMatrix) -> None:
+    assert got.denom_exp == want.denom_exp
+    assert got.coeffs.dtype == want.coeffs.dtype
+    assert got.coeffs.tolist() == want.coeffs.tolist()
+    # int64 storage keeps every |coefficient| below 2^61.
+    assert got.coeffs.dtype == object or got.max_abs_coeff() < 2**61
+
+
+# Below 2^61, and large enough that an H product may or may not reach it.
+near_int64 = st.integers(min_value=-3 * 2**59, max_value=3 * 2**59)
+
+
+@st.composite
+def table_words(draw):
+    """(width, start matrix, word) over every GATE_TABLE row that fits the width.
+
+    The start is the identity, an int64 matrix with coefficients below
+    2^61, or an object matrix with one coefficient of 2^61 or more.
+    """
+    width = draw(st.integers(min_value=1, max_value=3))
+    names = [name for name in ring.GATE_TABLE if ring.GATE_ARITY[name] <= width]
+    gates = []
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        name = draw(st.sampled_from(names))
+        targets = draw(st.permutations(range(width)))[: ring.GATE_ARITY[name]]
+        gates.append((name, tuple(targets)))
+    dim = 1 << width
+    start = draw(st.sampled_from(["identity", "int64", "object"]))
+    if start == "identity":
+        return width, ExactMatrix.identity(dim), gates
+    size = dim * dim * 4
+    values = draw(st.lists(near_int64 if start == "int64" else st.one_of(near_int64, big),
+                           min_size=size, max_size=size))
+    if start == "object":
+        values[draw(st.integers(min_value=0, max_value=size - 1))] = draw(
+            st.integers(min_value=2**61, max_value=2**90)
+        )
+    coeffs = np.array(values, dtype=object).reshape(dim, dim, 4)
+    matrix = ExactMatrix(coeffs, draw(st.integers(min_value=0, max_value=3)))
+    assert matrix.coeffs.dtype == (np.int64 if start == "int64" else object)
+    return width, matrix, gates
+
+
+class TestGatherPath:
+    """exact_mul by a cached table gate against the generic product."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(table_words())
+    def test_matches_generic_chain(self, case):
+        width, start, gates = case
+        assert_same_matrix(gather_chain(start, gates, width), generic_chain(start, gates, width))
+
+    def test_every_table_gate_has_a_gather(self):
+        for name in ring.GATE_TABLE:
+            gate = exact_gate(name, tuple(range(ring.GATE_ARITY[name])), 3)
+            assert gate._gather is not None
+            assert len(gate._gather) == (2 if name == "H" else 1)
+
+    def test_table_words_take_no_generic_product(self, rng, monkeypatch):
+        def fail(P):
+            raise AssertionError("generic product called")
+
+        monkeypatch.setattr(ring, "_mix_components", fail)
+        for _ in range(5):
+            assert gaussian_obstruction(exact_word(random_shor_word(rng, 40), 3))
+
+    @pytest.mark.parametrize("right, dtype", [(0, np.int64), (3 * 2**59, object)])
+    def test_h_storage_near_int64_limit(self, right, dtype):
+        # Row 0 is (3 2^59, right): times H, its entries are 3 2^59 +- right.
+        coeffs = np.zeros((2, 2, 4), dtype=np.int64)
+        coeffs[0, 0, 0], coeffs[0, 1, 0], coeffs[1, 1, 0] = 3 * 2**59, right, 1
+        start = ExactMatrix(coeffs)
+        h = exact_gate("H", (0,), 1)
+        got = exact_mul(start, h)
+        assert got.coeffs.dtype == dtype
+        assert_same_matrix(got, exact_mul(start, generic(h)))
+
+    def test_long_ladder_word_crosses_into_object_dtype(self):
+        gen1 = list(synth.GEN1_NAMES)
+        names = (gen1 * 150 + list(synth.H_NEG_HALF_NAMES) + gen1 * 120
+                 + list(synth.H_HALF_NAMES) + gen1 * 130)
+        gates = [(name, (0,)) for name in names]
+        got = exact_word(gates, 1)
+        assert got.coeffs.dtype == object
+        assert_same_matrix(got, generic_chain(ExactMatrix.identity(2), gates, 1))
